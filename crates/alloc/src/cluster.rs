@@ -38,13 +38,8 @@ impl Clustering {
         // Partition validity (reuses the condensation's checks).
         condense(g, &groups, CombineRule::Probabilistic)?;
         for group in &groups {
-            if let Some((a, b)) = replica_conflict(g, group) {
-                return Err(AllocError::ReplicaConflict { a, b });
-            }
-            if !is_schedulable(g, group) {
-                return Err(AllocError::Unschedulable {
-                    members: member_names(g, group),
-                });
+            if let Some(conflict) = group_conflict(g, group) {
+                return Err(conflict.into_error(g, group));
             }
         }
         let mut groups = groups;
@@ -183,7 +178,7 @@ impl Clustering {
         }
         let mut merged = self.groups[i].clone();
         merged.extend_from_slice(&self.groups[j]);
-        replica_conflict(g, &merged).is_none() && is_schedulable(g, &merged)
+        group_conflict(g, &merged).is_none()
     }
 
     /// Mutual influence between clusters `i` and `j` in the condensed
@@ -194,52 +189,109 @@ impl Clustering {
     }
 }
 
-/// First pair inside `group` that must stay separated (same-module
-/// replicas or a shared anti-affinity group), by name.
-pub(crate) fn replica_conflict(g: &SwGraph, group: &[NodeIdx]) -> Option<(String, String)> {
-    for (k, &a) in group.iter().enumerate() {
-        for &b in &group[k + 1..] {
-            let na = g.node(a).expect("caller validates indices");
-            let nb = g.node(b).expect("caller validates indices");
-            if na.must_separate_from(nb) {
-                return Some((na.name.clone(), nb.name.clone()));
+/// Why a set of SW nodes cannot share one cluster (see [`group_conflict`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GroupConflict {
+    /// Two members must stay apart: same-module replicas, a shared
+    /// anti-affinity group, or an explicit [`SwEdge::ReplicaLink`].
+    Separate(NodeIdx, NodeIdx),
+    /// The merged timing constraints are not EDF-schedulable.
+    Unschedulable,
+}
+
+impl GroupConflict {
+    /// The [`AllocError`] that reports this conflict for `members`.
+    pub(crate) fn into_error(self, g: &SwGraph, members: &[NodeIdx]) -> AllocError {
+        match self {
+            GroupConflict::Separate(a, b) => AllocError::ReplicaConflict {
+                a: g.node(a).expect("validated member").name.clone(),
+                b: g.node(b).expect("validated member").name.clone(),
+            },
+            GroupConflict::Unschedulable => AllocError::Unschedulable {
+                members: member_names(g, members),
+            },
+        }
+    }
+}
+
+/// The group-feasibility predicate: why `members` cannot be one cluster,
+/// or `None` when they can. Every combination check in the crate is this
+/// function, directly or through [`GroupFeasibility`].
+///
+/// Separation is checked before timing; tagged pairs before explicit
+/// 0-weight links, each in member order. EDF jobs are built in member
+/// order; members without timing constraints are unconstrained.
+pub(crate) fn group_conflict(g: &SwGraph, members: &[NodeIdx]) -> Option<GroupConflict> {
+    let node = |n: NodeIdx| g.node(n).expect("caller validates indices");
+    for (k, &a) in members.iter().enumerate() {
+        for &b in &members[k + 1..] {
+            if node(a).must_separate_from(node(b)) {
+                return Some(GroupConflict::Separate(a, b));
             }
         }
     }
     // Explicit 0-weight links also forbid combination even without tags.
-    for (k, &a) in group.iter().enumerate() {
-        for &b in &group[k + 1..] {
-            let linked = g
-                .out_edges(a)
-                .any(|(_, e)| e.to == b && matches!(e.weight, SwEdge::ReplicaLink))
-                || g.out_edges(b)
-                    .any(|(_, e)| e.to == a && matches!(e.weight, SwEdge::ReplicaLink));
-            if linked {
-                let na = g.node(a).expect("validated").name.clone();
-                let nb = g.node(b).expect("validated").name.clone();
-                return Some((na, nb));
+    let linked = |from: NodeIdx, to: NodeIdx| {
+        g.out_edges(from)
+            .any(|(_, e)| e.to == to && matches!(e.weight, SwEdge::ReplicaLink))
+    };
+    for (k, &a) in members.iter().enumerate() {
+        for &b in &members[k + 1..] {
+            if linked(a, b) || linked(b, a) {
+                return Some(GroupConflict::Separate(a, b));
             }
         }
     }
-    None
-}
-
-/// Whether the merged timing constraints of `group` are EDF-schedulable
-/// on one processor (members without timing constraints are unconstrained).
-pub(crate) fn is_schedulable(g: &SwGraph, group: &[NodeIdx]) -> bool {
-    let jobs: Vec<Job> = group
+    let jobs: Vec<Job> = members
         .iter()
-        .filter_map(|&n| {
-            g.node(n)
-                .expect("caller validates indices")
-                .attributes
-                .timing
-                .map(|t| t.to_job(n.index() as JobId))
-        })
+        .filter_map(|&n| node(n).attributes.timing.map(|t| t.to_job(n.index() as JobId)))
         .collect();
-    match JobSet::new(jobs) {
+    let schedulable = match JobSet::new(jobs) {
         Ok(set) => edf::feasible(&set),
         Err(_) => false,
+    };
+    (!schedulable).then_some(GroupConflict::Unschedulable)
+}
+
+/// The crate's group-feasibility predicate (`group_conflict`) lifted to
+/// the whole graph: whether `members` as one cluster, with every other
+/// node a singleton, is a valid [`Clustering`] — answered without
+/// building that n-node partition. The singletons' verdicts depend only
+/// on the graph and are computed once: a node infeasible on its own
+/// makes every group without it infeasible.
+#[derive(Debug)]
+pub struct GroupFeasibility<'g> {
+    g: &'g SwGraph,
+    /// Nodes whose singleton cluster fails [`group_conflict`], ascending.
+    infeasible_alone: Vec<NodeIdx>,
+}
+
+impl<'g> GroupFeasibility<'g> {
+    /// Precomputes the per-node singleton verdicts of `g`.
+    pub fn new(g: &'g SwGraph) -> Self {
+        let infeasible_alone = g
+            .node_indices()
+            .filter(|&n| group_conflict(g, &[n]).is_some())
+            .collect();
+        GroupFeasibility {
+            g,
+            infeasible_alone,
+        }
+    }
+
+    /// Whether `Clustering::new` accepts `members` as one group plus a
+    /// singleton for every other node: `members` lists distinct nodes of
+    /// the graph, passes `group_conflict`, and contains every node that
+    /// is infeasible on its own.
+    pub fn fits(&self, members: &[NodeIdx]) -> bool {
+        let n = self.g.node_count();
+        let distinct = members
+            .iter()
+            .enumerate()
+            .all(|(k, &a)| a.index() < n && !members[k + 1..].contains(&a));
+        distinct
+            && self.infeasible_alone.iter().all(|u| members.contains(u))
+            && group_conflict(self.g, members).is_none()
     }
 }
 

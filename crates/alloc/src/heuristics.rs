@@ -18,13 +18,21 @@
 //! rebuild-per-ranking implementation as the performance baseline the
 //! benches compare against. Wall time per heuristic is recorded in the
 //! global [`fcm_substrate::telemetry`] under `alloc.*` stages.
+//!
+//! Candidate groups (H3's "does sphere S accept v?", H2's repair moves)
+//! are judged by [`GroupFeasibility`], the crate's one group-feasibility
+//! predicate lifted to "this group plus singletons": it answers exactly
+//! what `Clustering::new` would on that partition, without building it.
+//! Whether a sphere accepts a node depends only on the two, so H3 fills
+//! a per-(node, sphere) attachment table once and, after each join,
+//! recomputes only the grown sphere's column.
 
 use fcm_core::ImportanceWeights;
 use fcm_graph::algo::{recursive_min_cut, BisectPolicy};
 use fcm_graph::NodeIdx;
 use fcm_substrate::telemetry;
 
-use crate::cluster::Clustering;
+use crate::cluster::{Clustering, GroupFeasibility};
 use crate::error::AllocError;
 use crate::pipeline::{self, CondensePipeline};
 use crate::sw::SwGraph;
@@ -150,20 +158,30 @@ fn h3_inner(
     let (seeds, rest) = order.split_at(target);
     let mut groups: Vec<Vec<NodeIdx>> = seeds.iter().map(|&s| vec![s]).collect();
 
-    // Assign the most strongly attached nodes first.
+    // Whether sphere `gi` accepts node `v` depends only on the two, so the
+    // attachment table `attach[v * target + gi]` is filled once and, after
+    // each join, only the grown sphere's column is recomputed.
+    let feasible = GroupFeasibility::new(g);
+    let mut scratch = Vec::new();
+    let mut attach: Vec<Option<f64>> = vec![None; g.node_count() * target];
+    let mut stale = 0..target;
     let mut remaining: Vec<NodeIdx> = rest.to_vec();
+    // Assign the most strongly attached nodes first.
     while !remaining.is_empty() {
+        for gi in stale {
+            for &v in &remaining {
+                attach[v.index() * target + gi] =
+                    attachment(g, &feasible, &groups[gi], v, &mut scratch);
+            }
+        }
         // (node position, group, attachment influence), best first.
         let mut best: Option<(usize, usize, f64)> = None;
         for (pos, &v) in remaining.iter().enumerate() {
-            for (gi, group) in groups.iter().enumerate() {
-                if !accepts(g, group, v) {
-                    continue;
-                }
-                let attach: f64 = group.iter().map(|&m| g.mutual_weight(v, m)).sum();
-                let better = best.is_none_or(|(_, _, b)| attach > b);
-                if better {
-                    best = Some((pos, gi, attach));
+            let row = &attach[v.index() * target..][..target];
+            for (gi, entry) in row.iter().enumerate() {
+                let Some(a) = *entry else { continue };
+                if best.is_none_or(|(_, _, b)| a > b) {
+                    best = Some((pos, gi, a));
                 }
             }
         }
@@ -171,6 +189,7 @@ fn h3_inner(
             Some((pos, gi, _)) => {
                 let v = remaining.swap_remove(pos);
                 groups[gi].push(v);
+                stale = gi..gi + 1;
             }
             None => {
                 return Err(AllocError::NoFeasibleClustering {
@@ -282,31 +301,23 @@ fn ranked_pairs(g: &SwGraph, clustering: &Clustering) -> Vec<(f64, usize, usize)
     pairs
 }
 
-/// Whether `group ∪ {v}` satisfies the combination constraints.
-fn accepts(g: &SwGraph, group: &[NodeIdx], v: NodeIdx) -> bool {
-    let mut merged = group.to_vec();
-    merged.push(v);
-    Clustering::new(g, one_group_partition(g, &merged)).is_ok()
-}
-
-/// Builds a partition where `merged` is one group and every other node is
-/// a singleton (so `Clustering::new` validates just the group of
-/// interest).
-fn one_group_partition(g: &SwGraph, merged: &[NodeIdx]) -> Vec<Vec<NodeIdx>> {
-    let mut groups = vec![merged.to_vec()];
-    let inside: Vec<bool> = {
-        let mut v = vec![false; g.node_count()];
-        for &m in merged {
-            v[m.index()] = true;
-        }
-        v
-    };
-    groups.extend(
-        g.node_indices()
-            .filter(|n| !inside[n.index()])
-            .map(|n| vec![n]),
-    );
-    groups
+/// How strongly `group` pulls `v`: `None` when `group ∪ {v}` is not a
+/// feasible cluster, otherwise the mutual influence between `v` and the
+/// members, summed in member order. `scratch` is reused for the union.
+fn attachment(
+    g: &SwGraph,
+    feasible: &GroupFeasibility<'_>,
+    group: &[NodeIdx],
+    v: NodeIdx,
+    scratch: &mut Vec<NodeIdx>,
+) -> Option<f64> {
+    scratch.clear();
+    scratch.extend_from_slice(group);
+    scratch.push(v);
+    if !feasible.fits(scratch) {
+        return None;
+    }
+    Some(group.iter().map(|&m| g.mutual_weight(v, m)).sum())
 }
 
 /// Moves constraint-violating nodes between groups until all groups are
@@ -317,11 +328,12 @@ fn repair(
     target: usize,
 ) -> Result<Clustering, AllocError> {
     let budget = g.node_count() * target.max(1) + 8;
+    let feasible = GroupFeasibility::new(g);
     for _ in 0..budget {
         match Clustering::new(g, groups.clone()) {
             Ok(c) => return Ok(c),
             Err(_) => {
-                if !repair_step(g, &mut groups) {
+                if !repair_step(g, &feasible, &mut groups) {
                     break;
                 }
             }
@@ -334,12 +346,10 @@ fn repair(
 }
 
 /// Relocates one violating node; returns `false` when stuck.
-fn repair_step(g: &SwGraph, groups: &mut [Vec<NodeIdx>]) -> bool {
+fn repair_step(g: &SwGraph, feasible: &GroupFeasibility<'_>, groups: &mut [Vec<NodeIdx>]) -> bool {
     // Find an invalid group and the node to evict: prefer a replica
     // involved in a conflict, else the most timing-constrained node.
-    let invalid = groups
-        .iter()
-        .position(|grp| Clustering::new(g, one_group_partition(g, grp)).is_err());
+    let invalid = groups.iter().position(|grp| !feasible.fits(grp));
     let Some(gi) = invalid else { return false };
     // Candidate eviction order: replicas first, then by timing density.
     let mut candidates: Vec<NodeIdx> = groups[gi].clone();
@@ -360,24 +370,26 @@ fn repair_step(g: &SwGraph, groups: &mut [Vec<NodeIdx>]) -> bool {
     // Pass 2: accept any eviction into a valid target — shrinking an
     // invalid group by one is still progress (a group of k same-module
     // replicas needs k−1 evictions), and a valid target never becomes
-    // invalid (`accepts` guarantees it), so the process terminates.
+    // invalid (`attachment` checks it), so the process terminates.
+    let mut scratch = Vec::new();
     for require_source_valid in [true, false] {
         for &v in &candidates {
             let without: Vec<NodeIdx> = groups[gi].iter().copied().filter(|&n| n != v).collect();
             if without.is_empty() {
                 continue;
             }
-            if require_source_valid && Clustering::new(g, one_group_partition(g, &without)).is_err()
-            {
+            if require_source_valid && !feasible.fits(&without) {
                 continue;
             }
             // Some other group must accept it; pick max attachment.
             let mut best: Option<(usize, f64)> = None;
             for (oj, other) in groups.iter().enumerate() {
-                if oj == gi || !accepts(g, other, v) {
+                if oj == gi {
                     continue;
                 }
-                let attach: f64 = other.iter().map(|&m| g.mutual_weight(v, m)).sum();
+                let Some(attach) = attachment(g, feasible, other, v, &mut scratch) else {
+                    continue;
+                };
                 if best.is_none_or(|(_, b)| attach > b) {
                     best = Some((oj, attach));
                 }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fcm_graph::{condense, CombineRule, GraphError, InfluenceMatrix, Matrix, NodeIdx};
 use fcm_substrate::{telemetry, Mutex};
 
-use crate::cluster::{is_schedulable, member_names, replica_conflict, Clustering};
+use crate::cluster::{group_conflict, Clustering};
 use crate::error::AllocError;
 use crate::sw::SwGraph;
 
@@ -318,7 +318,7 @@ impl<'g> CondensePipeline<'g> {
         }
         let mut merged = self.groups[i].clone();
         merged.extend_from_slice(&self.groups[j]);
-        replica_conflict(self.g, &merged).is_none() && is_schedulable(self.g, &merged)
+        group_conflict(self.g, &merged).is_none()
     }
 
     /// Merges clusters `i` and `j`, updating membership and the influence
@@ -336,13 +336,8 @@ impl<'g> CondensePipeline<'g> {
         }
         let mut merged = self.groups[i].clone();
         merged.extend_from_slice(&self.groups[j]);
-        if let Some((a, b)) = replica_conflict(self.g, &merged) {
-            return Err(AllocError::ReplicaConflict { a, b });
-        }
-        if !is_schedulable(self.g, &merged) {
-            return Err(AllocError::Unschedulable {
-                members: member_names(self.g, &merged),
-            });
+        if let Some(conflict) = group_conflict(self.g, &merged) {
+            return Err(conflict.into_error(self.g, &merged));
         }
 
         let (lo, hi) = (i.min(j), i.max(j));

@@ -273,10 +273,7 @@ pub fn export_to(path: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, metrics, set_enabled, span, ObsConfig};
-    use fcm_substrate::pool::Mutex;
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::{init, metrics, set_enabled, span, ObsConfig, TEST_GATE as GATE};
 
     fn with_obs(f: impl FnOnce()) {
         let _g = GATE.lock();

@@ -102,12 +102,18 @@ fn pool_hook(name: &'static str, worker: usize, n: u64) {
     metrics::counter_add(&format!("{name}.w{worker}"), n);
 }
 
+/// Serialises the unit tests that toggle the process-wide recording
+/// state (the enabled flag, the registry, the span rings), whichever
+/// module they live in: one lock per module would let one module's
+/// `set_enabled(false)` land in the middle of another module's test.
+#[cfg(test)]
+pub(crate) static TEST_GATE: fcm_substrate::pool::Mutex<()> = fcm_substrate::pool::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcm_substrate::pool::{self, Mutex};
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::TEST_GATE as GATE;
+    use fcm_substrate::pool;
 
     #[test]
     fn off_by_default_costs_one_atomic_load() {

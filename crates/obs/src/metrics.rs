@@ -181,9 +181,7 @@ pub fn drain() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, set_enabled, ObsConfig};
-
-    static GATE: Mutex<()> = Mutex::new(());
+    use crate::{init, set_enabled, ObsConfig, TEST_GATE as GATE};
 
     fn with_obs(f: impl FnOnce()) {
         let _g = GATE.lock();

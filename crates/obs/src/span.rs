@@ -306,8 +306,8 @@ mod tests {
     use crate::{init, set_enabled, ObsConfig};
 
     // The obs globals are process-wide, so every test here serialises on
-    // one lock and drains before/after to avoid cross-talk.
-    static GATE: Mutex<()> = Mutex::new(());
+    // the crate-wide test lock and drains before/after to avoid cross-talk.
+    use crate::TEST_GATE as GATE;
 
     fn with_obs(f: impl FnOnce()) {
         let _g = GATE.lock();

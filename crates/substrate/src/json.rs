@@ -166,11 +166,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the first array/object opened past [`MAX_DEPTH`] levels of
+    /// nesting.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -272,6 +274,12 @@ impl<T: ToJson> From<&T> for Json {
 
 // ------------------------------------------------------------------ parser
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s from an
+/// untrusted peer would overflow the stack and abort the process. The
+/// documents this workspace writes nest fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -287,8 +295,11 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -304,7 +315,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -329,7 +340,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -500,6 +511,23 @@ mod tests {
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_crash() {
+        let deep_arr = "[".repeat(200_000);
+        let err = Json::parse(&deep_arr).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_obj = r#"{"a":"#.repeat(200_000);
+        let err = Json::parse(&deep_obj).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let obj_at_limit = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&obj_at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

@@ -197,14 +197,16 @@ grep -q "C012" target/verify/check_broken.txt || {
     exit 1
 }
 
-echo "== archived repro_output.txt is not stale (T1 section)"
-# PR 3 shipped a stale archive once; this guard re-runs T1 and diffs it
-# against the committed file (minus `# ` wall-clock telemetry lines).
-t1_archived=$(awk '/^=== T1 /{f=1} f && /^=== / && !/^=== T1 /{exit} f' repro_output.txt | grep -v '^# \|^$')
-t1_fresh=$(cargo run --release --offline -q -p fcm-bench --bin repro -- t1 | grep -v '^# \|^$')
-if [ "$t1_archived" != "$t1_fresh" ]; then
-    echo "FAIL: repro_output.txt T1 section is stale — regenerate with" >&2
+echo "== archived repro_output.txt is not stale (whole file)"
+# A stale archive shipped once; this guard re-runs every experiment at
+# full scale (a few seconds) and diffs the output against the committed
+# file, minus `# ` wall-clock telemetry lines and blank lines.
+archived=$(grep -v '^# \|^$' repro_output.txt)
+fresh=$(cargo run --release --offline -q -p fcm-bench --bin repro | grep -v '^# \|^$')
+if [ "$archived" != "$fresh" ]; then
+    echo "FAIL: repro_output.txt is stale — regenerate with" >&2
     echo "      cargo run --release -p fcm-bench --bin repro > repro_output.txt" >&2
+    diff <(echo "$archived") <(echo "$fresh") | head -20 >&2 || true
     exit 1
 fi
 
